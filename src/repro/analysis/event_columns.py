@@ -129,17 +129,6 @@ def _gather_ranges(starts, counts):
     return np.repeat(base, counts) + np.arange(total, dtype=np.int64)
 
 
-def _segment_sum(values, offsets):
-    """Per-segment sums of ``values`` under prefix-sum ``offsets``.
-
-    The cumsum-difference form handles empty segments uniformly (where
-    ``np.add.reduceat`` would not).
-    """
-    cs = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, out=cs[1:])
-    return cs[offsets[1:]] - cs[offsets[:-1]]
-
-
 class EventColumns:
     """The parsed corpus as three flat structured arrays.
 

@@ -962,7 +962,6 @@ def _serve(args):
             skew=args.skew,
             batch=args.batch,
             pace=args.pace,
-            shards=args.shards,
             keepalive=not args.no_keepalive,
         )
     )
@@ -989,42 +988,6 @@ def _stream_query(args):
         return 2
     print(json.dumps(body, indent=2, sort_keys=True))
     return 0
-
-
-def _shard_provenance(shards, pool_info=None):
-    """Shard-engagement provenance for BENCH_serve: the same
-    engagement-honesty rule BENCH_build/BENCH_verify follow.
-
-    When the loadgen ran sharded it hands back the live ``pool_info``
-    from :class:`ShardedStream`; otherwise we evaluate the gate here so
-    the record still explains *why* no fork pool ran.  Either way the
-    recorded ``cpu_count`` can never contradict the engagement verdict —
-    both come from the same :func:`fork_pool_gate` call."""
-    from repro.stream.partition import STREAM_BLOCKS
-    from repro.util.pool import available_cpus, fork_pool_gate
-
-    if pool_info is not None:
-        info = dict(pool_info)
-    else:
-        cpus = available_cpus()
-        engaged, reason = fork_pool_gate(
-            shards, STREAM_BLOCKS, cpus=cpus, phase="serve-shards"
-        )
-        info = {
-            "requested": shards,
-            "engaged": engaged,
-            "reason": reason,
-            "workers": min(shards, STREAM_BLOCKS) if engaged else 0,
-            "blocks": STREAM_BLOCKS,
-            "cpu_count": cpus,
-            "mode": "fork" if engaged else "in-process",
-        }
-    if info["engaged"] and info["cpu_count"] <= 1:
-        raise AssertionError(
-            "shard pool recorded as engaged on a single-CPU host: "
-            f"{info!r}"
-        )
-    return info
 
 
 def _bench_serve(args):
@@ -1056,7 +1019,6 @@ def _bench_serve(args):
             requests=args.requests,
             batch=args.batch,
             pace=args.pace,
-            shards=args.shards,
             keepalive=not args.no_keepalive,
         )
 
@@ -1086,7 +1048,6 @@ def _bench_serve(args):
         "children_mb": children_mb,
     }
     record["pool"] = pool_provenance()
-    record["pool"]["shards"] = _shard_provenance(args.shards, result.get("shards"))
     atomic_write_json(args.out, record)
     p95 = result["latency_ms"]["p95"]
     ingest_rps = result["ingest"]["records_per_second"]
@@ -1145,14 +1106,8 @@ def _parse_list(text, convert, what):
 
 
 def _verify_world(args):
-    import os
-
     from repro.verify import run_conformance
 
-    if args.stream_shards is not None:
-        # The invariant (and its matrix workers, which inherit the
-        # environment) read this when running the shard-invariance pass.
-        os.environ["REPRO_STREAM_SHARDS"] = str(args.stream_shards)
     seeds = _parse_list(args.seeds, int, "seed")
     scales = _parse_list(args.scales, float, "scale")
     faults = _parse_list(args.faults, str, "fault preset")
@@ -1448,14 +1403,6 @@ def main(argv=None):
         help="shard each world build over N workers; use instead of --jobs "
         "when cells are few but large (the report is identical at any N)",
     )
-    p_verify.add_argument(
-        "--stream-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count for the streaming invariant's shard-invariance "
-        "pass (sets REPRO_STREAM_SHARDS; the report is identical at any N)",
-    )
     p_verify.add_argument("--quiet", action="store_true", default=False)
     _add_supervision_args(p_verify)
 
@@ -1509,13 +1456,6 @@ def main(argv=None):
         help="sleep between ingest batches (0 = ingest as fast as the loop allows)",
     )
     p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition ingest over N shard engines (answers are identical at any N)",
-    )
-    p_serve.add_argument(
         "--no-keepalive",
         action="store_true",
         default=False,
@@ -1545,13 +1485,6 @@ def main(argv=None):
     )
     p_bench_serve.add_argument("--batch", type=int, default=512, metavar="N")
     p_bench_serve.add_argument("--pace", type=float, default=0.0, metavar="SECONDS")
-    p_bench_serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition ingest over N shard engines (answers are identical at any N)",
-    )
     p_bench_serve.add_argument(
         "--no-keepalive",
         action="store_true",

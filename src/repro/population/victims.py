@@ -8,7 +8,6 @@ the OVH-like French hosting firm, and about half of victims are end hosts
 (many of them gamers, per the attacked-port mix).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,17 +259,3 @@ def build_victim_pool(rng, registry, pbl, params=None):
     for victim in victims:
         unique.setdefault(victim.ip, victim)
     return VictimPool(list(unique.values()), params)
-
-
-def expected_weekly_intensity(t):
-    """The victim-arrival intensity at ``t`` (exposed for calibration tests)."""
-    anchors = _ARRIVAL_ANCHORS
-    if t <= anchors[0][0]:
-        return anchors[0][1]
-    if t >= anchors[-1][0]:
-        return anchors[-1][1]
-    for (t0, w0), (t1, w1) in zip(anchors, anchors[1:]):
-        if t0 <= t <= t1:
-            frac = (t - t0) / (t1 - t0)
-            return w0 + frac * (w1 - w0)
-    raise AssertionError("unreachable")

@@ -18,10 +18,6 @@ serving layer for the repro:
 * :mod:`repro.stream.ingest` — the incremental engine tying the three
   together, able to answer Fig 1/7/13-style queries at any mid-window
   point without a full reparse;
-* :mod:`repro.stream.partition` — the sharded ingest mode: a
-  deterministic key-partitioner routing records over N per-shard
-  engines (in-process or supervised fork workers) whose reduction
-  answers byte-identically to one engine at any shard count;
 * :mod:`repro.stream.service` — a long-running asyncio HTTP/JSON service
   over one engine (``python -m repro serve`` / ``repro stream-query``);
 * :mod:`repro.stream.loadgen` — the concurrent-client harness behind
@@ -37,7 +33,6 @@ estimates), across the usual seed x scale x fault matrix.
 
 from repro.stream.ingest import QUERY_NAMES, StreamEngine
 from repro.stream.loadgen import run_loadgen
-from repro.stream.partition import STREAM_BLOCKS, BlockRouter, ShardedStream
 from repro.stream.replay import StreamRecord, replay_plan, replay_records
 from repro.stream.service import StreamService, serve_world
 from repro.stream.sketches import CountMinSketch, SpaceSavingTopK
@@ -45,9 +40,6 @@ from repro.stream.windows import TumblingWindows, WindowSet
 
 __all__ = [
     "QUERY_NAMES",
-    "STREAM_BLOCKS",
-    "BlockRouter",
-    "ShardedStream",
     "StreamEngine",
     "StreamRecord",
     "StreamService",

@@ -35,9 +35,7 @@ sorted-key order when the window closes.  Reads merge the still-open
 windows' exact aggregates on top (:meth:`StreamEngine.sketches_view`), so
 mid-window answers lose nothing — but the sketch add *sequence* becomes a
 deterministic function of the applied records alone, independent of when
-queries arrive and of how the stream is sharded.  That is the property
-the sharded ingest mode's answers-identical-at-any-``--shards`` contract
-rests on.
+queries arrive.
 
 The streaming path deliberately does not advance the batch parse-once
 ledger — replay is a re-read of the measurement layer, and the engine's
@@ -83,16 +81,9 @@ QUERY_NAMES = (
     "ingest",
 )
 
-#: Sketch names fed by capture windows vs ISP windows; folds happen per
-#: closed window in ascending index order, keys sorted within a window.
-_CAPTURE_SKETCHES = (
-    ("victim_packets", "victim_packets_by_ip"),
-    ("as_packets", "as_packets"),
-    ("amplifier_entries", "amp_entries"),
-)
-
-#: Per-family view sources: which open windows feed which sketch pair
-#: (order fixed — it is also the canonical family enumeration).
+#: Sketch families and the window source + state key feeding each; folds
+#: happen per closed window in ascending index order, keys sorted within
+#: a window (order fixed — it is also the canonical family enumeration).
 _VIEW_SOURCES = {
     "victim_packets": ("capture", "victim_packets_by_ip"),
     "as_packets": ("capture", "as_packets"),
@@ -122,44 +113,11 @@ def _add_stats(into, stats):
 
 def _fold_totals(pair, totals):
     """Add one window's exact per-key totals into one sketch pair, keys
-    in sorted order (the deterministic fold sequence the sharded
-    reducer replays)."""
+    in sorted order (a deterministic fold sequence)."""
     keys = sorted(totals)
     weights = [totals[key] for key in keys]
     pair["cm"].add_many(keys, weights)
     pair["topk"].add_many(keys, weights)
-
-
-def _fold_capture_aggregates(sketches, state):
-    """Add one capture window's exact per-key totals into the sketches."""
-    for sketch_name, state_key in _CAPTURE_SKETCHES:
-        totals = state[state_key]
-        if totals:
-            _fold_totals(sketches[sketch_name], totals)
-
-
-def _fold_isp_aggregates(sketches, state):
-    """Add one ISP window's exact per-victim byte totals into the sketches."""
-    victims = state["victims"]
-    if victims:
-        _fold_totals(sketches["isp_victim_bytes"], victims)
-
-
-def _new_sketches(topk_capacity, cm_epsilon, cm_delta):
-    """A fresh bank of the engine's four sketch pairs (shared with the
-    sharded reducer, which rebuilds the fold sequence from window state)."""
-    return {
-        name: {
-            "cm": CountMinSketch(cm_epsilon, cm_delta),
-            "topk": SpaceSavingTopK(topk_capacity),
-        }
-        for name in (
-            "victim_packets",
-            "as_packets",
-            "amplifier_entries",
-            "isp_victim_bytes",
-        )
-    }
 
 
 class StreamEngine:
@@ -175,18 +133,10 @@ class StreamEngine:
         topk_capacity=64,
         cm_epsilon=0.005,
         cm_delta=0.01,
-        keep_state=False,
-        fold_on_close=True,
     ):
         if skew < 0:
             raise ValueError("skew must be non-negative")
         self.skew = float(skew)
-        # Sharded block engines set fold_on_close=False: the query-time
-        # reducer replays the close-time folds itself from the retained
-        # window states (in global window order), so per-block folds
-        # would be dead work — and folding per block would change the
-        # sketch add sequence away from the single engine's.
-        self.fold_on_close = bool(fold_on_close)
         self.asn_of = asn_of
         self.onp_ip = onp_ip
         self.max_event_t = None
@@ -210,7 +160,6 @@ class StreamEngine:
                 capture_width,
                 origin=capture_origin,
                 state_factory=self._new_sweep_state,
-                keep_state=keep_state,
             ),
             "capture": WindowSet(
                 capture_width,
@@ -218,26 +167,22 @@ class StreamEngine:
                 state_factory=self._new_capture_state,
                 finalize=self._finalize_capture,
                 on_close=self._close_capture_window,
-                keep_state=keep_state,
             ),
             "darknet": WindowSet(
                 float(DAY),
                 state_factory=set,
                 finalize=self._finalize_darknet,
-                keep_state=keep_state,
             ),
             "isp": WindowSet(
                 float(DAY),
                 state_factory=self._new_isp_state,
                 finalize=self._finalize_isp,
                 on_close=self._close_isp_window,
-                keep_state=keep_state,
             ),
             "arbor": WindowSet(
                 float(DAY),
                 state_factory=self._new_arbor_state,
                 finalize=self._finalize_arbor,
-                keep_state=keep_state,
             ),
         }
         self._apply = {
@@ -247,7 +192,13 @@ class StreamEngine:
             "arbor": self._apply_arbor,
         }
 
-        self.sketches = _new_sketches(topk_capacity, cm_epsilon, cm_delta)
+        self.sketches = {
+            name: {
+                "cm": CountMinSketch(cm_epsilon, cm_delta),
+                "topk": SpaceSavingTopK(topk_capacity),
+            }
+            for name in _VIEW_SOURCES
+        }
 
         # Stream-global exact counters, redundant with the window ledgers
         # on purpose: every snapshot can be cross-checked internally.
@@ -269,9 +220,8 @@ class StreamEngine:
         # it accumulates one exactly-rounded math.fsum per window at
         # close (ascending window order), and reads add the open
         # windows' fsums on top.  fsum is order-independent, so the
-        # sharded reduction reproduces the identical float by replaying
-        # the same per-window folds — byte-identical answers at any
-        # shard count, where a running += would drift by an ulp.
+        # total is exactly the sum of the per-window ``bytes`` summaries
+        # in window order, where a running += would drift by an ulp.
         self.isp_bytes_closed = 0.0
 
         # Capture micro-batch machinery: window indices with undedcoded
@@ -534,6 +484,13 @@ class StreamEngine:
 
     # -- finalizers -----------------------------------------------------------
 
+    def _fold_closed(self, source, state):
+        """Add one closing window's exact per-key totals into the sketches
+        its ``source`` feeds."""
+        for name, (family_source, state_key) in _VIEW_SOURCES.items():
+            if family_source == source and state[state_key]:
+                _fold_totals(self.sketches[name], state[state_key])
+
     def _close_capture_window(self, state):
         # Runs exactly once per window, at close: decode any buffered
         # captures, fold the window's ParseStats into the stream-global
@@ -543,15 +500,13 @@ class StreamEngine:
         if pending:
             state["pending"] = []
             self._decode_pending(state, pending)
-        if self.fold_on_close:
-            _add_stats(self.global_stats, state["stats"])
-            _fold_capture_aggregates(self.sketches, state)
+        _add_stats(self.global_stats, state["stats"])
+        self._fold_closed("capture", state)
         self._cap_mut += 1
 
     def _close_isp_window(self, state):
         self.isp_bytes_closed += math.fsum(state["victims"].values())
-        if self.fold_on_close:
-            _fold_isp_aggregates(self.sketches, state)
+        self._fold_closed("isp", state)
         self._isp_mut += 1
 
     def _finalize_capture(self, index, lo, hi, state, records):
@@ -577,8 +532,7 @@ class StreamEngine:
         return {
             "cells": state["cells"],
             "victims": len(state["victims"]),
-            # Exactly-rounded, hence independent of dict insertion
-            # order — merged per-block states summarize identically.
+            # Exactly-rounded, hence independent of dict insertion order.
             "bytes": math.fsum(state["victims"].values()),
         }
 
@@ -634,38 +588,6 @@ class StreamEngine:
         if watermark != self._advanced_to:
             self._advance_windows(watermark)
         return applied
-
-    def ingest_tagged(self, record, pre_max_t):
-        """Ingest one record of a partitioned substream.
-
-        ``pre_max_t`` is the maximum event time seen *strictly before*
-        this record in the whole (unpartitioned) stream.  Advancing the
-        local watermark to it first reproduces, pointwise, the window
-        closures the single engine performed before offering this record
-        — the keystone of the per-block ledgers summing to the
-        single-engine ledger (see :mod:`repro.stream.partition`).
-        """
-        if pre_max_t is not None and (
-            self.max_event_t is None or pre_max_t > self.max_event_t
-        ):
-            self.max_event_t = pre_max_t
-            watermark = self.watermark
-            if watermark != self._advanced_to:
-                self.generation += 1
-                self._advance_windows(watermark)
-        return self.ingest(record)
-
-    def advance_watermark(self, t):
-        """Barrier sync: act as if an event at time ``t`` was observed
-        (without any record), closing every window it passes."""
-        if t is None:
-            return
-        if self.max_event_t is None or t > self.max_event_t:
-            self.max_event_t = t
-            watermark = self.watermark
-            if watermark != self._advanced_to:
-                self.generation += 1
-                self._advance_windows(watermark)
 
     def ingest_many(self, records):
         """Drive a whole iterable through the ingest discipline in one
@@ -865,10 +787,7 @@ class StreamEngine:
         windows, so they key on that source's mutation counter — batches
         of other kinds (most of a replay is darknet memberships) leave a
         cached response valid.  Everything else carries the watermark or
-        global accounting and keys on the per-record generation.  Only
-        meaningful on a single engine: the sharded front intentionally
-        lacks this method because its merged engine is rebuilt per
-        generation, which would restart the counters.
+        global accounting and keys on the per-record generation.
         """
         source = _QUERY_VERSION_SOURCES.get(name)
         if source == "capture":
@@ -1001,48 +920,3 @@ class StreamEngine:
                 for name, pair in self.sketches_view().items()
             },
         }
-
-    # -- sharded-reduction surface --------------------------------------------
-
-    def export_state(self, skip_closed=None):
-        """Everything the query-time reduction needs from one block.
-
-        ``skip_closed`` maps kind -> index set the reducer has already
-        memoized (their merged summaries are immutable), so those states
-        are neither re-shipped nor re-merged.  Containers are returned by
-        reference; the reducer's merge functions never mutate them, and
-        the fork-pool transport pickles them into copies anyway.
-        """
-        self.flush()
-        kinds = {}
-        for kind, ws in self.windows.items():
-            skip = skip_closed.get(kind) if skip_closed else None
-            states = {}
-            for index, window in ws.open.items():
-                states[index] = ("open", window.state, window.records)
-            for index, (state, records) in ws.closed_states.items():
-                if skip and index in skip:
-                    continue
-                states[index] = ("closed", state, records)
-            kinds[kind] = {
-                "total": ws.total,
-                "applied": ws.applied,
-                "late": ws.late,
-                "duplicate": ws.duplicate,
-                "late_uids": list(ws.late_uids),
-                "states": states,
-            }
-        return {
-            "records_seen": self.records_seen,
-            "unknown_kinds": self.unknown_kinds,
-            "max_event_t": self.max_event_t,
-            "global_stats": dict(self.global_stats),
-            "totals": dict(self.totals),
-            "kinds": kinds,
-        }
-
-    def drop_closed_states(self, kind, indices):
-        """Free retained closed-window states the reducer has memoized."""
-        closed_states = self.windows[kind].closed_states
-        for index in indices:
-            closed_states.pop(index, None)

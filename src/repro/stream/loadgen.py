@@ -152,20 +152,14 @@ async def _run_client(client, targets, latencies, errors):
         await client.close()
 
 
-async def _run(world, clients, requests, mix, batch, pace, skew, shards, keepalive):
+async def _run(world, clients, requests, mix, batch, pace, skew, keepalive):
     from repro.stream.ingest import StreamEngine
-    from repro.stream.partition import ShardedStream
     from repro.stream.replay import replay_plan, replay_records
 
     plan = replay_plan(world)
-    if shards > 1:
-        engine = ShardedStream.for_world(world, shards=shards, skew=skew)
-        records = () if engine.drives_ingest else replay_records(world)
-    else:
-        engine = StreamEngine.for_world(world, plan=plan, skew=skew)
-        records = replay_records(world)
+    engine = StreamEngine.for_world(world, plan=plan, skew=skew)
     service = StreamService(
-        engine, records, batch=batch, pace=pace, keepalive=keepalive
+        engine, replay_records(world), batch=batch, pace=pace, keepalive=keepalive
     )
     await service.start()
     latencies, errors = [], []
@@ -190,7 +184,7 @@ async def _run(world, clients, requests, mix, batch, pace, skew, shards, keepali
     total_requests = clients * requests
     ok = len(latencies)
     lat_ms = sorted(x * 1000.0 for x in latencies)
-    result = {
+    return {
         "clients": clients,
         "requests_per_client": requests,
         "requests_total": total_requests,
@@ -228,13 +222,6 @@ async def _run(world, clients, requests, mix, batch, pace, skew, shards, keepali
             "pace": pace,
         },
     }
-    pool_info = getattr(engine, "pool_info", None)
-    if pool_info is not None:
-        result["shards"] = pool_info
-    shutdown = getattr(engine, "shutdown", None)
-    if shutdown is not None:
-        shutdown()
-    return result
 
 
 def run_loadgen(
@@ -245,12 +232,11 @@ def run_loadgen(
     batch=256,
     pace=0.0,
     skew=0.0,
-    shards=1,
     keepalive=True,
 ):
     """Run the in-process service + client fleet; return the BENCH payload."""
     if clients < 1 or requests < 1:
         raise ValueError("clients and requests must be >= 1")
     return asyncio.run(
-        _run(world, clients, requests, tuple(mix), batch, pace, skew, shards, keepalive)
+        _run(world, clients, requests, tuple(mix), batch, pace, skew, keepalive)
     )

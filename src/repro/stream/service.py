@@ -31,9 +31,7 @@ records in synchronous batches — :meth:`StreamEngine.ingest` never awaits
 runs against an engine that is between-records: snapshots are internally
 consistent by construction (no torn reads), which the service tests
 verify by cross-checking the redundant global counters inside each
-response.  A sharded engine keeps the same contract: the service calls
-its ``barrier()`` at each batch boundary, and fork-mode engines drive
-whole rounds via ``ingest_step`` inside the same synchronous step.
+response.
 
 Lifecycle
 ---------
@@ -119,26 +117,12 @@ class StreamService:
     async def _ingest(self):
         started = time.monotonic()
         try:
-            if getattr(self.engine, "drives_ingest", False):
-                # Fork-mode sharded engine: the workers enumerate the
-                # replay themselves; each step is one bounded round.
-                while True:
-                    if self.engine.ingest_step(self.batch):
-                        self.engine.close()
-                        self.ingest_done = True
-                        return
-                    await asyncio.sleep(self.pace)
-            barrier = getattr(self.engine, "barrier", None)
             ingest_many = self.engine.ingest_many
             records, batch = self.records, self.batch
             while True:
                 chunk = list(islice(records, batch))
                 if chunk:
                     ingest_many(chunk)
-                if barrier is not None:
-                    # Sharded in-process engine: propagate the watermark
-                    # to blocks that saw no records this batch.
-                    barrier()
                 if len(chunk) < batch:
                     self.engine.close()
                     self.ingest_done = True
@@ -183,7 +167,7 @@ class StreamService:
             await self.server.wait_closed()
 
     def describe(self):
-        out = {
+        return {
             "host": self.host,
             "port": self.port,
             "queries": list(QUERY_NAMES),
@@ -191,13 +175,9 @@ class StreamService:
             "pace": self.pace,
             "keepalive": self.keepalive,
         }
-        pool_info = getattr(self.engine, "pool_info", None)
-        if pool_info is not None:
-            out["shards"] = pool_info
-        return out
 
     def drain_summary(self):
-        summary = {
+        return {
             "requests_served": self.requests_served,
             "requests_rejected": self.requests_rejected,
             "connections_opened": self.connections_opened,
@@ -207,10 +187,6 @@ class StreamService:
             "ingest_seconds": round(self.ingest_seconds, 4),
             "balanced": self.engine.balanced,
         }
-        pool_info = getattr(self.engine, "pool_info", None)
-        if pool_info is not None:
-            summary["shards"] = pool_info
-        return summary
 
     # -- HTTP exchanges ------------------------------------------------------
 
@@ -250,29 +226,32 @@ class StreamService:
         try:
             request_line = await reader.readline()
         except (ValueError, ConnectionResetError):
-            self.requests_rejected += 1
-            return False, 400, _dumps({"error": "unreadable request"}).encode()
+            return self._bad_request("unreadable request")
         if not request_line:
             return None
         parts = request_line.decode("latin-1", "replace").split()
         if len(parts) < 2:
-            self.requests_rejected += 1
-            return False, 400, _dumps({"error": "malformed request line"}).encode()
+            return self._bad_request("malformed request line")
         method, target = parts[0], parts[1]
         version = parts[2] if len(parts) > 2 else "HTTP/1.0"
         # Drain headers (bounded), watching for the Connection token.
         # Clients send the head in one segment, so these reads are served
-        # from the buffered data without extra loop wake-ups.
+        # from the buffered data without extra loop wake-ups.  A header
+        # line past the reader's limit raises ValueError, like an
+        # oversized request line.
         connection = None
         drained = 0
-        while drained < _MAX_REQUEST_BYTES:
-            line = await reader.readline()
-            drained += len(line)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            header = line.decode("latin-1", "replace").strip().lower()
-            if header.startswith("connection:"):
-                connection = header.split(":", 1)[1].strip()
+        try:
+            while drained < _MAX_REQUEST_BYTES:
+                line = await reader.readline()
+                drained += len(line)
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                header = line.decode("latin-1", "replace").strip().lower()
+                if header.startswith("connection:"):
+                    connection = header.split(":", 1)[1].strip()
+        except ValueError:
+            return self._bad_request("unreadable request header")
         keep = (
             connection == "keep-alive"
             if version != "HTTP/1.1"
@@ -285,23 +264,23 @@ class StreamService:
         status, payload = self._response_for(target)
         return keep, status, payload
 
+    def _bad_request(self, message):
+        """A rejected, connection-closing ``400`` exchange."""
+        self.requests_rejected += 1
+        return False, 400, _dumps({"error": message}).encode()
+
     def _token_fn_for(self, target):
         """The zero-argument version probe for ``target``'s cache entry.
 
-        Query targets of an engine exposing ``query_version`` validate
-        against that (per-source mutation counters for the sketch tops);
-        everything else validates against the global generation.  A
-        ``None`` token marks the target uncacheable.
+        Query targets validate against :meth:`StreamEngine.query_version`
+        (per-source mutation counters for the sketch tops); everything
+        else validates against the global generation.
         """
         engine = self.engine
-        query_version = getattr(engine, "query_version", None)
-        if query_version is not None:
-            path = urlsplit(target).path.rstrip("/")
-            if path.startswith("/query/"):
-                name = path[len("/query/"):]
-                return lambda: query_version(name)
-        if getattr(engine, "generation", None) is None:
-            return lambda: None
+        path = urlsplit(target).path.rstrip("/")
+        if path.startswith("/query/"):
+            name = path[len("/query/"):]
+            return lambda: engine.query_version(name)
         return lambda: ("g", engine.generation)
 
     def _response_for(self, target):
@@ -320,11 +299,11 @@ class StreamService:
                 self._token_fns[target] = token_fn
         token = token_fn()
         entry = self._response_cache.get(target)
-        if entry is None or token is None or entry[0] != token:
+        if entry is None or entry[0] != token:
             self.cache_misses += 1
             status, body = self._route(target)
             entry = (token, status, _dumps(body).encode())
-            if token is not None and (
+            if (
                 target in self._response_cache
                 or len(self._response_cache) < _MAX_CACHED_TARGETS
             ):
@@ -378,34 +357,21 @@ async def serve_world(
     skew=0.0,
     batch=256,
     pace=0.0,
-    shards=1,
     keepalive=True,
 ):
     """Build engine + replay for ``world``, serve until SIGTERM/SIGINT.
-
-    ``--shards N`` (N > 1) runs the partitioned engine: N fork workers
-    over the sixteen logical blocks when the pool gate engages, the same
-    blocks in-process (with the veto reason recorded) when it does not.
-    Answers are byte-identical either way, and identical to ``--shards
-    1``'s single engine.
 
     Prints the ``{"serving": ...}`` discovery line on start and the
     ``{"drained": ...}`` summary on exit; returns 0 (the CLI exit code).
     """
     from repro.stream.ingest import StreamEngine
-    from repro.stream.partition import ShardedStream
     from repro.stream.replay import replay_plan, replay_records
 
     plan = replay_plan(world)
-    if shards > 1:
-        engine = ShardedStream.for_world(world, shards=shards, skew=skew)
-        records = () if engine.drives_ingest else replay_records(world)
-    else:
-        engine = StreamEngine.for_world(world, plan=plan, skew=skew)
-        records = replay_records(world)
+    engine = StreamEngine.for_world(world, plan=plan, skew=skew)
     service = StreamService(
         engine,
-        records,
+        replay_records(world),
         host=host,
         port=port,
         batch=batch,
@@ -415,9 +381,5 @@ async def serve_world(
     await service.start()
     print(json.dumps({"serving": {**service.describe(), "plan": plan["expected"]}}), flush=True)
     await service.serve_until_shutdown()
-    summary = service.drain_summary()
-    shutdown = getattr(engine, "shutdown", None)
-    if shutdown is not None:
-        shutdown()
-    print(json.dumps({"drained": summary}), flush=True)
+    print(json.dumps({"drained": service.drain_summary()}), flush=True)
     return 0

@@ -19,11 +19,8 @@ tests and the conformance harness both assert.
 Lateness is defined by the watermark alone, not by whether the window
 ever held state: a record whose window end the watermark has already
 passed is late even when no earlier record opened that window.  The
-distinction only matters for out-of-order streams, and it is what makes
-the sharded ingest mode's per-block ledgers sum to the single-engine
-ledger record for record — a block that never saw a window's earlier
-records must still refuse its stragglers exactly as the whole-stream
-engine would.
+distinction only matters for out-of-order streams, where it keeps a
+record's verdict a function of its time and the watermark alone.
 """
 
 from __future__ import annotations
@@ -97,13 +94,13 @@ class WindowSet:
     was accounted as late/duplicate instead.
     """
 
-    __slots__ = ("windows", "_factory", "_finalize", "_on_close", "open", "closed", "closed_states", "keep_state", "total", "applied", "late", "duplicate", "late_uids", "_next_close", "_closed_rows", "_open_summaries")
+    __slots__ = ("windows", "_factory", "_finalize", "_on_close", "open", "closed", "total", "applied", "late", "duplicate", "late_uids", "_next_close", "_closed_rows", "_open_summaries")
 
     #: How many late-record uids to retain verbatim for forensics (the
     #: counters are complete either way).
     LATE_UID_KEEP = 32
 
-    def __init__(self, width, origin=0.0, state_factory=dict, finalize=None, on_close=None, keep_state=False):
+    def __init__(self, width, origin=0.0, state_factory=dict, finalize=None, on_close=None):
         self.windows = TumblingWindows(width, origin=origin)
         self._factory = state_factory
         # finalize must be PURE: summaries() also runs it on still-open
@@ -113,12 +110,6 @@ class WindowSet:
         self._on_close = on_close
         self.open = {}
         self.closed = {}
-        # Sharded block engines keep the raw mergeable state of closed
-        # windows (keep_state=True) so the query-time reduction can union
-        # per-block states losslessly; the single-engine default frees
-        # state at close, preserving the per-window memory contract.
-        self.keep_state = bool(keep_state)
-        self.closed_states = {}
         self.total = 0
         self.applied = 0
         self.late = 0
@@ -203,8 +194,6 @@ class WindowSet:
         self.closed[index] = self._finalize(index, lo, hi, window.state, window.records)
         self._closed_rows = None
         self._open_summaries.pop(index, None)
-        if self.keep_state:
-            self.closed_states[index] = (window.state, window.records)
 
     # -- views -------------------------------------------------------------
 

@@ -55,7 +55,6 @@ __all__ = [
     "available_cpus",
     "fork_pool_gate",
     "pool_provenance",
-    "ResidentPool",
     "ShardRunner",
     "summarize_shard_stats",
 ]
@@ -96,12 +95,17 @@ def fork_pool_gate(jobs, n_tasks, min_tasks=2, cpus=None, phase=None):
         if n_tasks <= 1:
             return veto("single task: nothing to parallelize")
         return veto(f"{n_tasks} tasks < {min_tasks}: not worth forking")
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        # Pool workers are daemonic and may not fork children of their
+        # own; a nested pool (a world build inside a verify cell) runs
+        # its tasks serially instead.
+        return veto("inside a pool worker: nested pool runs serially")
     if cpus is None:
         cpus = available_cpus()
     if cpus <= 1:
         return veto("single CPU available: fork pool would add overhead")
-    import multiprocessing
-
     try:
         multiprocessing.get_context("fork")
     except ValueError:
@@ -536,153 +540,3 @@ class ShardRunner:
                 on_result(index)
         return results
 
-
-# ---------------------------------------------------------------------------
-# Resident workers: long-lived, stateful
-
-
-def _resident_worker(conn, factory, slot_index):
-    """Resident worker loop: build the handler post-fork, serve method
-    calls until EOF/None.
-
-    ``factory(slot_index)`` runs *inside the child*, so any heavy
-    context it closes over arrived by fork (copy-on-write), never by
-    pickling.  Replies are ``("ok", result)`` or ``("error", message)``;
-    a crash never replies and the parent sees EOF.
-    """
-    try:
-        handler = factory(slot_index)
-    except BaseException as exc:
-        try:
-            conn.send(("error", f"factory failed: {type(exc).__name__}: {exc}"))
-        except (OSError, ValueError):
-            pass
-        return
-    try:
-        conn.send(("ok", None))  # ready handshake
-    except (OSError, ValueError):
-        return
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if message is None:
-            return
-        method, args = message
-        try:
-            reply = ("ok", getattr(handler, method)(*args))
-        except KeyboardInterrupt:
-            return
-        except BaseException as exc:
-            reply = ("error", f"{type(exc).__name__}: {exc}")
-        try:
-            conn.send(reply)
-        except (OSError, ValueError):
-            return
-
-
-class ResidentPool:
-    """Long-lived supervised fork workers that *hold state* between calls.
-
-    :class:`ShardRunner` restarts a crashed worker and requeues its task
-    because shard tasks are pure functions of ``(ctx, index)``.  A
-    resident worker is the opposite: it accumulates state across calls
-    (the sharded stream's per-block engines), so a lost process loses
-    its substream and no requeue can recover it.  This pool keeps the
-    same supervision posture — fork ``Process`` + duplex pipe per slot,
-    bounded loud teardown — but treats worker death or an in-call
-    exception as **fatal**: :meth:`call_all` raises ``RuntimeError``
-    naming the slot and exit code, and the caller rebuilds from the
-    authoritative source rather than guessing at lost state.
-
-    ``factory(slot_index)`` builds each worker's handler after the fork;
-    whatever it closes over (a built world) crosses by copy-on-write.
-    """
-
-    def __init__(self, factory, workers, name="resident"):
-        import multiprocessing
-
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        mp = multiprocessing.get_context("fork")
-        self.name = name
-        self.broken = False
-        self._slots = []
-        for slot_index in range(int(workers)):
-            parent_end, child_end = mp.Pipe(duplex=True)
-            process = mp.Process(
-                target=_resident_worker,
-                args=(child_end, factory, slot_index),
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            self._slots.append(_WorkerSlot(process, parent_end))
-        # Collect the ready handshakes so a factory failure surfaces at
-        # construction, not on the first call.
-        for slot_index, slot in enumerate(self._slots):
-            self._recv(slot_index, slot, "start")
-
-    def __len__(self):
-        return len(self._slots)
-
-    def _fail(self, slot_index, message):
-        self.broken = True
-        self.close()
-        raise RuntimeError(f"{self.name} worker {slot_index}: {message}")
-
-    def _recv(self, slot_index, slot, method):
-        try:
-            kind, payload = slot.conn.recv()
-        except (EOFError, OSError):
-            exitcode = slot.process.exitcode
-            self._fail(
-                slot_index,
-                f"died during {method!r} (exitcode {exitcode}); "
-                "resident state is unrecoverable",
-            )
-        if kind != "ok":
-            self._fail(slot_index, f"{method!r} raised: {payload}")
-        return payload
-
-    def call_all(self, method, *args):
-        """Invoke ``handler.method(*args)`` on every worker; results in
-        slot order.  Requests go out to all slots before any reply is
-        read, so workers execute concurrently."""
-        if self.broken:
-            raise RuntimeError(f"{self.name}: pool is broken")
-        for slot_index, slot in enumerate(self._slots):
-            try:
-                slot.conn.send((method, args))
-            except (OSError, ValueError):
-                self._fail(slot_index, f"unreachable dispatching {method!r}")
-        return [
-            self._recv(slot_index, slot, method)
-            for slot_index, slot in enumerate(self._slots)
-        ]
-
-    def close(self):
-        """Politely stop every worker, then escalate — same bounded
-        teardown discipline as the shard pool."""
-        for slot in self._slots:
-            try:
-                slot.conn.send(None)
-            except (OSError, ValueError):
-                pass
-        for slot in self._slots:
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
-        grace = time.monotonic() + 1.0
-        for slot in self._slots:
-            slot.process.join(timeout=max(0.0, grace - time.monotonic()))
-        for slot in self._slots:
-            if slot.process.is_alive():
-                slot.process.terminate()
-        for slot in self._slots:
-            slot.process.join(timeout=1.0)
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join()

@@ -688,48 +688,6 @@ def check_world_streaming_matches_batch(record, tolerance):
                     f"[{true}, {true} + {error}]"
                 )
 
-    # 6. Shard invariance: route the same replay through N shard engines
-    # and reduce — every query answer must be byte-identical to the
-    # single engine's.  This is the contract that lets ``serve --shards
-    # N`` answer exactly like ``--shards 1``.  ``REPRO_STREAM_SHARDS``
-    # overrides the shard count (CI runs the matrix at 4).
-    import os
-
-    shards = int(os.environ.get("REPRO_STREAM_SHARDS", "2"))
-    if shards > 0:
-        from repro.stream import ShardedStream
-
-        def comparable(source):
-            # late_uids is a bounded *sample* of late records, merged in
-            # shard order — compare how many were late, not which ones.
-            reduced = source.merged() if hasattr(source, "merged") else source
-            views = {
-                "snapshot": source.snapshot(),
-                "victims": source.query("victims"),
-                "scanners": source.query("scanners"),
-                "traffic": source.query("traffic"),
-                "isp_days": list(reduced.windows["isp"].summaries()),
-            }
-            for acc in views["snapshot"]["ingest"]["kinds"].values():
-                acc["late_uids"] = len(acc.pop("late_uids"))
-            return views
-
-        sharded = ShardedStream.for_world(world, shards=shards)
-        try:
-            sharded.ingest_many(replay_records(world))
-            sharded.close()
-            single_views = comparable(engine)
-            sharded_views = comparable(sharded)
-        finally:
-            sharded.shutdown()
-        for view_name, single_view in single_views.items():
-            if sharded_views[view_name] != single_view:
-                violations.append(
-                    f"sharded ({shards} shards, "
-                    f"{sharded.pool_info['mode']}) {view_name} answer "
-                    f"differs from the single engine"
-                )
-
     return _result(
         measured={
             "records": engine.records_seen,
@@ -737,7 +695,6 @@ def check_world_streaming_matches_batch(record, tolerance):
             "victim_pairs": engine.totals["victim_pairs"],
             "cm_error_bound_victims": engine.sketches["victim_packets"]["cm"].error_bound(),
             "topk_threshold_victims": engine.sketches["victim_packets"]["topk"].guarantee_threshold(),
-            "shards_checked": shards,
         },
         violations=violations,
     )

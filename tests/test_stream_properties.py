@@ -1,7 +1,7 @@
-"""Property tests for the streaming layer's pure machinery.
+"""Property tests for the streaming layer's machinery.
 
-Three families, all driven by the shared strategies in
-``tests/strategies.py``:
+Three families driven by the shared strategies in
+``tests/strategies.py``, plus one over a real small world:
 
 * window arithmetic — ``index_of``/``bounds`` containment is exact, even
   at float boundaries;
@@ -10,12 +10,20 @@ Three families, all driven by the shared strategies in
   and the books balance;
 * sketch algebra — count-min and space-saving merges are commutative,
   and the declared error bounds survive both single-stream use and
-  merging.
+  merging;
+* bulk ingest — ``StreamEngine.ingest_many`` answers every query exactly
+  like per-record ``StreamEngine.ingest`` on an adversarially reordered
+  replay.
 """
 
+import json
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.scenario.world import PaperWorld
+from repro.stream import StreamEngine, replay_plan, replay_records
 from repro.stream.sketches import CountMinSketch, SpaceSavingTopK
 from repro.stream.windows import TumblingWindows, WindowSet
 from tests.strategies import (
@@ -192,6 +200,19 @@ def test_count_min_merge_is_commutative_and_bound_preserving(a, b):
     assert cm_b == _cm_of(b)
 
 
+@given(sketch_streams, st.integers(min_value=1, max_value=5))
+def test_count_min_partition_then_merge_is_exact(stream, parts):
+    whole = CountMinSketch()
+    pieces = [CountMinSketch() for _ in range(parts)]
+    for key, weight in stream:
+        whole.add(key, weight)
+        pieces[key % parts].add(key, weight)
+    merged = pieces[0]
+    for piece in pieces[1:]:
+        merged = merged.merge(piece)
+    assert merged == whole
+
+
 @given(sketch_streams)
 def test_space_saving_tracks_every_guaranteed_heavy_hitter(stream):
     ss = _ss_of(stream)
@@ -229,9 +250,75 @@ def test_space_saving_merge_preserves_count_bounds(a, b):
 
 
 def test_sketches_reject_incompatible_merges():
-    import pytest
-
     with pytest.raises(ValueError):
         CountMinSketch(epsilon=0.005).merge(CountMinSketch(epsilon=0.05))
     with pytest.raises(ValueError):
         SpaceSavingTopK(8).merge(SpaceSavingTopK(16))
+
+
+# ---------------------------------------------------------------------------
+# ingest_many == ingest, record for record, on an adversarial stream
+# ---------------------------------------------------------------------------
+
+_COMPARED_QUERIES = (
+    "victims",
+    "amplifiers",
+    "scanners",
+    "traffic",
+    "top_victims",
+    "top_amplifiers",
+    "top_ases",
+    "top_isp_victims",
+    "parse_stats",
+    "ingest",
+)
+
+
+@pytest.fixture(scope="module")
+def small_world():
+    return PaperWorld.build(seed=7, scale=0.0002)
+
+
+def _served_answers(engine):
+    """Every query answer as the service would serialize it."""
+    out = {}
+    for name in _COMPARED_QUERIES:
+        out[name] = json.dumps(engine.query(name), sort_keys=True)
+    out["snapshot"] = json.dumps(engine.snapshot(), sort_keys=True)
+    return out
+
+
+def _adversarial_replay(world):
+    """The ordered replay, roughed up: every 7th record displaced later
+    (some land inside the skew, some genuinely late) and every 31st
+    redelivered — the stream shape the run-batching fast paths must
+    refuse to take."""
+    records = list(replay_records(world))
+    displaced = []
+    held = []
+    for i, record in enumerate(records):
+        if i % 7 == 3:
+            held.append(record)
+            if len(held) >= 5:
+                displaced.extend(held)
+                held.clear()
+        else:
+            displaced.append(record)
+        if i % 31 == 17 and displaced:
+            displaced.append(displaced[-1])
+    displaced.extend(held)
+    return displaced
+
+
+@pytest.mark.parametrize("skew", [0.0, 3600.0, 2 * 86400.0])
+def test_ingest_many_matches_per_record_ingest(small_world, skew):
+    records = _adversarial_replay(small_world)
+    plan = replay_plan(small_world)
+    batched = StreamEngine.for_world(small_world, plan=plan, skew=skew)
+    batched.ingest_many(records)
+    batched.close()
+    one_by_one = StreamEngine.for_world(small_world, plan=plan, skew=skew)
+    for record in records:
+        one_by_one.ingest(record)
+    one_by_one.close()
+    assert _served_answers(batched) == _served_answers(one_by_one)

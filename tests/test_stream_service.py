@@ -102,21 +102,47 @@ def test_malformed_queries_are_4xx_json_not_crashes(small_world):
         garbage_reply = await reader.read()
         writer.close()
         await writer.wait_closed()
+        # Nor a header line longer than the reader's 64 KiB line limit:
+        # it is answered 400 and counted as rejected.
+        rejected_before = service.requests_rejected
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(b"GET /health HTTP/1.1\r\nX-Big: " + b"x" * 70000 + b"\r\n\r\n")
+        await writer.drain()
+        oversized_reply = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        oversized_rejected = service.requests_rejected - rejected_before
         # POST is rejected, not crashed on.
         post_status, _ = await _fetch_method(host, port, "POST", "/health")
         # The service must still answer normally afterwards.
         status_after, body_after = await _fetch(host, port, "/health")
         service.request_shutdown()
         await service.stop()
-        return results, garbage_reply, post_status, status_after, body_after
+        return (
+            results,
+            garbage_reply,
+            oversized_reply,
+            oversized_rejected,
+            post_status,
+            status_after,
+            body_after,
+        )
 
-    results, garbage_reply, post_status, status_after, body_after = asyncio.run(
-        exercise()
-    )
+    (
+        results,
+        garbage_reply,
+        oversized_reply,
+        oversized_rejected,
+        post_status,
+        status_after,
+        body_after,
+    ) = asyncio.run(exercise())
     for target, status, expected, body in results:
         assert status == expected, (target, status, body)
         assert "error" in body, target
     assert b"400" in garbage_reply.split(b"\r\n", 1)[0]
+    assert b"400" in oversized_reply.split(b"\r\n", 1)[0]
+    assert oversized_rejected == 1
     assert post_status == 405
     assert status_after == 200 and body_after["ok"] is True
 

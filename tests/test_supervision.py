@@ -137,6 +137,34 @@ def test_counters_zero_on_clean_run(eight_cpus):
     assert stat["task_source"] == ["pooled"] * 9
 
 
+def test_nested_pool_inside_a_worker_runs_serially(monkeypatch):
+    """A pool started inside a pool worker (a world build inside a
+    verify cell) cannot fork from the daemonic worker: the gate vetoes
+    with a stable reason, the inner map runs serially, and the outer
+    worker keeps serving its later tasks."""
+    monkeypatch.setattr(pool_mod, "available_cpus", lambda: 2)
+
+    def outer(ctx, i):
+        inner = ShardRunner(2)
+        results = inner.map("inner", lambda _ctx, j: 10 * i + j, None, 3)
+        return results, inner.stats["inner"]
+
+    runner = ShardRunner(2, backoff=0.01)
+    out = runner.map("outer", outer, None, 4)
+    stat = runner.stats["outer"]
+    assert stat["engaged"]
+    for key in ("retries", "worker_crashes", "task_errors", "serial_fallbacks"):
+        assert stat[key] == 0, (key, stat["errors"])
+    assert stat["task_source"] == ["pooled"] * 4
+    for i, (results, inner_stat) in enumerate(out):
+        assert results == [10 * i + j for j in range(3)]
+        assert not inner_stat["engaged"]
+        assert inner_stat["reason"] == (
+            "inner: inside a pool worker: nested pool runs serially"
+        )
+        assert inner_stat["worker_crashes"] == 0
+
+
 # -- clean shutdown: no orphaned workers ---------------------------------------
 
 _INTERRUPT_SCRIPT = textwrap.dedent(
